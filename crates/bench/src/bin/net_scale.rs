@@ -36,8 +36,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use farm_bench::perf::{percentile, Json};
+use farm_bench::perf::percentile;
 use farm_net::{encode_envelope, Decoded, Envelope, Frame, FrameDecoder, NetServer};
+use farm_telemetry::json::Json;
 use farm_telemetry::Telemetry;
 
 const SCHEMA: &str = "farm-bench/net_scale/v2";

@@ -38,11 +38,12 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use farm_bench::perf::{percentile, Json};
+use farm_bench::perf::percentile;
 use farm_placement::delta::{replan_delta, ReplanDelta, SolveState};
 use farm_placement::heuristic::{solve_heuristic, solve_heuristic_traced, HeuristicOptions};
 use farm_placement::model::{validate, PlacementInstance, PlacementResult, PreviousPlacement};
 use farm_placement::workload::{generate, WorkloadConfig};
+use farm_telemetry::json::Json;
 use farm_telemetry::{Event, RingBufferSink, Telemetry};
 
 const SCHEMA: &str = "farm-bench/placement_scale/v2";

@@ -22,7 +22,7 @@ use farm_netsim::types::FlowKey;
 use farm_scenario::score::{score, Alarm, TaskScore};
 use farm_scenario::{ScenarioEnv, ScenarioSpec, TruthKey};
 
-use crate::perf::Json;
+use farm_telemetry::json::Json;
 
 /// Scoring outcome of one (task, system) pair on one scenario.
 #[derive(Debug, Clone)]

@@ -1,10 +1,9 @@
-//! Support for the machine-readable perf harness (`placement_scale`):
-//! exact sample percentiles and a dependency-free JSON value tree used
-//! to emit and re-read `BENCH_placement.json` (the committed baseline
-//! the CI `bench-smoke` job compares against).
+//! Support for the machine-readable perf harnesses: exact sample
+//! percentiles. The `BENCH_*.json` documents themselves are
+//! [`farm_telemetry::json::Json`] trees; the re-export below keeps the
+//! `perf::{percentile, Json}` surface the end-to-end benchmark imports.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+pub use farm_telemetry::json::Json;
 
 /// Exact percentile over raw samples (linear interpolation between the
 /// two nearest ranks). Unlike the telemetry histograms, this is not
@@ -27,286 +26,6 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
         let frac = pos - lo as f64;
         sorted[lo] * (1.0 - frac) + sorted[hi] * frac
     }
-}
-
-/// A minimal JSON value: enough to emit the bench schema and parse it
-/// back for regression checks, with no external dependency.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    /// Sorted keys — emission order is deterministic.
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    pub fn obj(entries: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-        Json::Obj(
-            entries
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    }
-
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// Serializes with two-space indentation and a trailing newline —
-    /// stable output for committing next to the code.
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    let _ = write!(out, "{pad}  ");
-                    item.write(out, indent + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                let _ = write!(out, "{pad}]");
-            }
-            Json::Obj(map) => {
-                if map.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in map.iter().enumerate() {
-                    let _ = write!(out, "{pad}  ");
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                    out.push_str(if i + 1 < map.len() { ",\n" } else { "\n" });
-                }
-                let _ = write!(out, "{pad}}}");
-            }
-        }
-    }
-
-    /// Parses a JSON document (the subset this module emits plus
-    /// standard escapes; good enough for re-reading committed baselines).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first syntax error.
-    pub fn parse(src: &str) -> Result<Json, String> {
-        let bytes = src.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("expected `{lit}` at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    let Some(&c) = b.get(*pos) else {
-        return Err("unexpected end of input".into());
-    };
-    match c {
-        b'n' => expect(b, pos, "null").map(|()| Json::Null),
-        b't' => expect(b, pos, "true").map(|()| Json::Bool(true)),
-        b'f' => expect(b, pos, "false").map(|()| Json::Bool(false)),
-        b'"' => parse_string(b, pos).map(Json::Str),
-        b'[' => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        b'{' => {
-            *pos += 1;
-            let mut map = BTreeMap::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(map));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                expect(b, pos, ":")?;
-                map.insert(key, parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(map));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        _ => parse_number(b, pos),
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}", pos = *pos));
-    }
-    *pos += 1;
-    let mut s = String::new();
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(s);
-            }
-            b'\\' => {
-                *pos += 1;
-                let Some(&esc) = b.get(*pos) else { break };
-                *pos += 1;
-                match esc {
-                    b'"' => s.push('"'),
-                    b'\\' => s.push('\\'),
-                    b'/' => s.push('/'),
-                    b'n' => s.push('\n'),
-                    b't' => s.push('\t'),
-                    b'r' => s.push('\r'),
-                    b'b' => s.push('\u{8}'),
-                    b'f' => s.push('\u{c}'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("bad \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        *pos += 4;
-                        s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("bad escape `\\{}`", other as char)),
-                }
-            }
-            _ => {
-                // Multi-byte UTF-8 sequences pass through verbatim.
-                let start = *pos;
-                *pos += 1;
-                while *pos < b.len() && (b[*pos] & 0xc0) == 0x80 {
-                    *pos += 1;
-                }
-                s.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad UTF-8")?);
-            }
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
 }
 
 #[cfg(test)]
@@ -355,5 +74,24 @@ mod tests {
         assert!(Json::parse("[1, 2,]").is_err());
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("{\"a\": 1} x").is_err());
+    }
+
+    /// The committed trajectories were written by [`Json::pretty`], so
+    /// parsing and re-prettifying each must reproduce it byte for byte.
+    #[test]
+    fn committed_bench_files_re_prettify_byte_identically() {
+        for name in [
+            "BENCH_detection.json",
+            "BENCH_net.json",
+            "BENCH_placement.json",
+        ] {
+            let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(
+                doc.pretty() == text,
+                "{name} does not re-prettify byte-identically"
+            );
+        }
     }
 }

@@ -4,9 +4,9 @@ use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use farm_ctl::json::{array, Obj};
 use farm_ctl::CtlClient;
 use farm_net::{ControlOp, ControlReply, NetError, SeedDescriptor};
+use farm_telemetry::json::{array, num, quote, Obj};
 
 const USAGE: &str = "\
 farmctl - FARM control-plane client
@@ -408,7 +408,7 @@ fn seed_json(s: &SeedDescriptor) -> String {
         .str("machine", &s.machine)
         .num("switch", u64::from(s.switch))
         .str("state", &s.state)
-        .raw("alloc", &array(s.alloc.iter().map(|v| format!("{v}"))))
+        .raw("alloc", &array(s.alloc.iter().map(|v| num(*v))))
         .finish()
 }
 
@@ -513,7 +513,7 @@ fn reply_json(reply: &ControlReply) -> String {
                         .num("switches", p.switches)
                         .num("base", p.base)
                         .float("quota", p.quota)
-                        .raw("live", if p.live { "true" } else { "false" })
+                        .bool("live", p.live)
                         .num("beats", p.beats)
                         .num("age_ms", p.age_ms)
                         .finish()
@@ -535,14 +535,204 @@ fn reply_json(reply: &ControlReply) -> String {
         ControlReply::TaskExport { source, seeds } => Obj::new()
             .str("status", "task-export")
             .str("source", source)
-            .raw(
-                "seeds",
-                &array(
-                    seeds
-                        .iter()
-                        .map(|(k, _)| format!("\"{}\"", farm_ctl::json::escape(k))),
-                ),
-            )
+            .raw("seeds", &array(seeds.iter().map(|(k, _)| quote(k))))
             .finish(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use farm_net::{Diagnostic, PodInfo, SeedSnapshot};
+
+    fn desc(key: &str, alloc: [f64; 4]) -> SeedDescriptor {
+        SeedDescriptor {
+            key: key.into(),
+            task: "hh".into(),
+            machine: "m0".into(),
+            switch: 7,
+            state: "watch".into(),
+            alloc,
+        }
+    }
+
+    /// Pins the `--json` bytes of every reply variant.
+    #[test]
+    fn reply_json_bytes_are_pinned_for_every_variant() {
+        let snapshot = SeedSnapshot {
+            machine: "m0".into(),
+            state: "s".into(),
+            vars: Vec::new(),
+        };
+        let cases: Vec<(ControlReply, &str)> = vec![
+            (ControlReply::Ok, r#"{"status":"ok"}"#),
+            (
+                ControlReply::Submitted {
+                    task: "hh".into(),
+                    seeds: 3,
+                    actions: 5,
+                },
+                r#"{"status":"submitted","task":"hh","seeds":3,"actions":5}"#,
+            ),
+            (
+                ControlReply::Seeds {
+                    seeds: vec![desc("hh/m0/s0", [0.5, 128.0, 4.0, 1e3])],
+                    next_index: 0,
+                    total: 0,
+                },
+                r#"{"seeds":[{"key":"hh/m0/s0","task":"hh","machine":"m0","switch":7,"state":"watch","alloc":[0.5,128,4,1000]}]}"#,
+            ),
+            (
+                ControlReply::Seeds {
+                    seeds: Vec::new(),
+                    next_index: 4,
+                    total: 9,
+                },
+                r#"{"seeds":[],"next_index":4,"total":9}"#,
+            ),
+            (
+                ControlReply::Seed {
+                    desc: desc("hh/m0/s1", [0.25, 0.0, 1.0, 12.5]),
+                    vars: vec![
+                        ("count".into(), "42".into()),
+                        ("note".into(), "say \"hi\"\\\n\t\u{1}é".into()),
+                    ],
+                },
+                "{\"seed\":{\"key\":\"hh/m0/s1\",\"task\":\"hh\",\"machine\":\"m0\",\
+                 \"switch\":7,\"state\":\"watch\",\"alloc\":[0.25,0,1,12.5]},\
+                 \"vars\":{\"count\":\"42\",\"note\":\"say \\\"hi\\\"\\\\\\n\\t\\u0001é\"}}",
+            ),
+            (
+                ControlReply::Json {
+                    body: r#"{"raw":[1, 2]}"#.into(),
+                },
+                r#"{"raw":[1, 2]}"#,
+            ),
+            (
+                ControlReply::Drained {
+                    switch: 2,
+                    evacuated: 6,
+                },
+                r#"{"status":"drained","switch":2,"evacuated":6}"#,
+            ),
+            (
+                ControlReply::Replanned {
+                    actions: 8,
+                    dropped_tasks: 1,
+                },
+                r#"{"status":"replanned","actions":8,"dropped_tasks":1}"#,
+            ),
+            (
+                ControlReply::Checkpointed {
+                    seeds: 4,
+                    persist_error: None,
+                },
+                r#"{"status":"checkpointed","seeds":4}"#,
+            ),
+            (
+                ControlReply::Checkpointed {
+                    seeds: 4,
+                    persist_error: Some("disk \"full\"".into()),
+                },
+                r#"{"status":"checkpointed","seeds":4,"persist_error":"disk \"full\""}"#,
+            ),
+            (
+                ControlReply::Restored {
+                    seeds: 4,
+                    skipped: 0,
+                },
+                r#"{"status":"restored","seeds":4}"#,
+            ),
+            (
+                ControlReply::Restored {
+                    seeds: 4,
+                    skipped: 2,
+                },
+                r#"{"status":"restored","seeds":4,"skipped":2}"#,
+            ),
+            (
+                ControlReply::Rejected {
+                    reason: "no seed `x`\r\n".into(),
+                },
+                r#"{"status":"rejected","reason":"no seed `x`\r\n"}"#,
+            ),
+            (
+                ControlReply::CompileFailed {
+                    diagnostics: vec![Diagnostic {
+                        machine: "m0".into(),
+                        phase: "parse".into(),
+                        line: 3,
+                        col: 14,
+                        message: "expected `;`".into(),
+                    }],
+                },
+                r#"{"status":"compile-failed","diagnostics":[{"machine":"m0","phase":"parse","line":3,"col":14,"message":"expected `;`"}]}"#,
+            ),
+            (
+                ControlReply::PodRegistered { base: 12 },
+                r#"{"status":"registered","base":12}"#,
+            ),
+            (
+                ControlReply::Pods {
+                    pods: vec![
+                        PodInfo {
+                            name: "a".into(),
+                            addr: "127.0.0.1:7461".into(),
+                            switches: 4,
+                            base: 0,
+                            quota: 0.75,
+                            live: true,
+                            beats: 9,
+                            age_ms: 120,
+                        },
+                        PodInfo {
+                            name: "b".into(),
+                            addr: "127.0.0.1:7462".into(),
+                            switches: 4,
+                            base: 4,
+                            quota: 1.0,
+                            live: false,
+                            beats: 0,
+                            age_ms: 0,
+                        },
+                    ],
+                },
+                "{\"pods\":[{\"name\":\"a\",\"addr\":\"127.0.0.1:7461\",\"switches\":4,\
+                 \"base\":0,\"quota\":0.75,\"live\":true,\"beats\":9,\"age_ms\":120},\
+                 {\"name\":\"b\",\"addr\":\"127.0.0.1:7462\",\"switches\":4,\"base\":4,\
+                 \"quota\":1,\"live\":false,\"beats\":0,\"age_ms\":0}]}",
+            ),
+            (
+                ControlReply::Migrated {
+                    task: "hh".into(),
+                    from_pod: "a".into(),
+                    to_pod: "b".into(),
+                    seeds: 2,
+                },
+                r#"{"status":"migrated","task":"hh","from_pod":"a","to_pod":"b","seeds":2}"#,
+            ),
+            (
+                ControlReply::TaskExport {
+                    source: "machine m0 {\n}\n".into(),
+                    seeds: vec![
+                        ("hh/m0/s0".into(), snapshot.clone()),
+                        ("hh/m0/\"s1\"".into(), snapshot),
+                    ],
+                },
+                r#"{"status":"task-export","source":"machine m0 {\n}\n","seeds":["hh/m0/s0","hh/m0/\"s1\""]}"#,
+            ),
+        ];
+        for (reply, want) in &cases {
+            assert_eq!(reply_json(reply), *want, "{}", reply.kind());
+        }
+        let mut kinds: Vec<&str> = cases.iter().map(|(r, _)| r.kind()).collect();
+        kinds.dedup();
+        assert_eq!(kinds.len(), 15, "every ControlReply variant is pinned");
+    }
+
+    #[test]
+    fn non_finite_allocations_render_as_null() {
+        let s = seed_json(&desc("hh/m0/s0", [f64::NAN, f64::INFINITY, 1.0, 0.5]));
+        assert!(s.ends_with(r#""alloc":[null,null,1,0.5]}"#), "{s}");
     }
 }

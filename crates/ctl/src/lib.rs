@@ -19,7 +19,6 @@
 pub mod ckpt;
 pub mod client;
 pub mod config;
-pub mod json;
 pub mod server;
 
 pub use client::CtlClient;

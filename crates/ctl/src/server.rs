@@ -31,11 +31,11 @@ use farm_net::{
 use farm_netsim::controller::SdnController;
 use farm_netsim::switch::{Resources, SwitchModel};
 use farm_netsim::types::SwitchId;
+use farm_telemetry::json::{array, quote, snapshot_json, Obj};
 
 use crate::ckpt;
 use crate::client::CtlClient;
 use crate::config::{FarmdConfig, FedMembership};
-use crate::json::{array, snapshot_json, Obj};
 
 /// Human names of the four resource kinds, in `Resources` index order.
 const RESOURCE_NAMES: [&str; 4] = ["vcpu", "ram_mb", "tcam", "pcie_poll"];
@@ -924,30 +924,7 @@ fn describe(farm: &Farm, key: &str) -> ControlReply {
 /// paginated requests, so the unpaginated body is unchanged.
 fn stats_json(farm: &Farm, from_index: u64, limit: u64) -> String {
     let snap = farm.telemetry().snapshot();
-    let paginated = from_index != 0 || limit != 0;
-    let counters_total = snap.counters.len() as u64;
-    let start = from_index.min(counters_total);
-    let end = if !paginated || limit == 0 {
-        counters_total
-    } else {
-        start.saturating_add(limit).min(counters_total)
-    };
-    let mut counters = Obj::new();
-    // BTreeMap iteration is key-sorted, so pages tile deterministically.
-    for (k, v) in snap
-        .counters
-        .iter()
-        .skip(start as usize)
-        .take((end - start) as usize)
-    {
-        counters = counters.num(k, *v);
-    }
-    let tasks = array(
-        farm.seeder()
-            .task_names()
-            .iter()
-            .map(|t| format!("\"{}\"", crate::json::escape(t))),
-    );
+    let tasks = array(farm.seeder().task_names().iter().map(|t| quote(t)));
     let cordoned = array(farm.cordoned_switches().iter().map(|s| s.0.to_string()));
     let fenced = array(farm.fenced_switches().iter().map(|s| s.0.to_string()));
     // Planner health at a glance: how often the farm replans, how long a
@@ -973,7 +950,7 @@ fn stats_json(farm: &Farm, from_index: u64, limit: u64) -> String {
             replan = replan.float("replan_delta_us_p95", p);
         }
     }
-    let mut obj = Obj::new()
+    Obj::new()
         .num("now_ns", farm.now().as_nanos())
         .raw("tasks", &tasks)
         .num("seeds", farm.deployed_seeds() as u64)
@@ -982,16 +959,8 @@ fn stats_json(farm: &Farm, from_index: u64, limit: u64) -> String {
         .raw("fenced", &fenced)
         .num("recovery_pending", farm.recovery_pending() as u64)
         .raw("replan", &replan.finish())
-        .raw("counters", &counters.finish());
-    if paginated {
-        obj = obj
-            .num(
-                "counters_next_index",
-                if end < counters_total { end } else { 0 },
-            )
-            .num("counters_total", counters_total);
-    }
-    obj.finish()
+        .counter_page(&snap.counters, from_index, limit)
+        .finish()
 }
 
 /// The `MetricsDump` body: legacy compat view plus the whole registry

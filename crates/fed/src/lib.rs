@@ -13,13 +13,12 @@
 //!   set falls inside one pod routes there verbatim; one that spans
 //!   pods is split into per-pod sub-programs with switch ids rewritten
 //!   into each pod's local space.
-//! * [`jsonval`] — a minimal total JSON reader used to merge the pods'
-//!   `Stats` / `MetricsDump` reply bodies into one federated view.
 //! * [`server`] — the daemon: a single core thread owning the registry
 //!   and one control-plane session per pod, serving federated reads
 //!   (fan-out + merge, cursor pagination preserved), all-or-nothing
 //!   split submission, and cross-pod seed migration over the existing
-//!   `VSeedSnapshot` export/import ops.
+//!   `VSeedSnapshot` export/import ops. Pod `Stats` bodies are read and
+//!   the merged view re-rendered with [`farm_telemetry::json`].
 //!
 //! Everything the coordinator does is audited under the `fed.*`
 //! telemetry family: `fed.pods.total` / `fed.pods.live` gauges,
@@ -28,7 +27,6 @@
 //! `fed.fanout_us` fan-out latency histogram.
 
 pub mod config;
-pub mod jsonval;
 pub mod registry;
 pub mod server;
 pub mod split;

@@ -26,13 +26,12 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use farm_ctl::json::{array, escape, snapshot_json, Obj};
 use farm_ctl::CtlClient;
 use farm_net::{ControlOp, ControlReply, Envelope, Frame, NetServer, PodInfo, SeedDescriptor};
+use farm_telemetry::json::{array, quote, snapshot_json, Json, Obj};
 use farm_telemetry::Telemetry;
 
 use crate::config::FeddConfig;
-use crate::jsonval::{self, Jv};
 use crate::registry::Registry;
 use crate::split::{split_program, PodTarget, Route};
 
@@ -511,31 +510,43 @@ fn submit(core: &mut Core, name: &str, source: &str) -> ControlReply {
     }
 }
 
+/// Follows a paginated pod listing: `page(from)` fetches the page at
+/// cursor `from` and returns the next cursor, `0` once exhausted. A
+/// cursor that does not advance is an error, so a misbehaving pod
+/// cannot spin the core thread forever.
+fn walk_cursor(mut page: impl FnMut(u64) -> Result<u64, String>) -> Result<(), String> {
+    let mut from = 0;
+    loop {
+        match page(from)? {
+            0 => return Ok(()),
+            next if next <= from => {
+                return Err(format!("cursor did not advance ({from} -> {next})"))
+            }
+            next => from = next,
+        }
+    }
+}
+
 /// Walks one pod's seed listing through its cursor.
 fn pod_seeds(core: &mut Core, pod: &str) -> Result<Vec<SeedDescriptor>, String> {
     let mut out = Vec::new();
-    let mut from = 0u64;
-    loop {
-        match pod_op(
-            core,
-            pod,
-            ControlOp::ListSeeds {
-                from_index: from,
-                limit: POD_PAGE,
-            },
-        )? {
+    walk_cursor(|from| {
+        let op = ControlOp::ListSeeds {
+            from_index: from,
+            limit: POD_PAGE,
+        };
+        match pod_op(core, pod, op)? {
             ControlReply::Seeds {
                 seeds, next_index, ..
             } => {
                 out.extend(seeds);
-                if next_index == 0 {
-                    return Ok(out);
-                }
-                from = next_index;
+                Ok(next_index)
             }
-            other => return Err(format!("pod `{pod}` answered `{}`", other.kind())),
+            other => Err(format!("answered `{}`", other.kind())),
         }
-    }
+    })
+    .map_err(|e| format!("pod `{pod}` seeds: {e}"))?;
+    Ok(out)
 }
 
 /// Federated `ListSeeds`: fan out to every live pod (cursor-walked),
@@ -616,53 +627,42 @@ fn describe(core: &mut Core, key: &str) -> ControlReply {
 /// [`PodStats`].
 fn pod_stats(core: &mut Core, pod: &str) -> Result<PodStats, String> {
     let mut counters = BTreeMap::new();
-    let mut first: Option<Jv> = None;
-    let mut from = 0u64;
-    loop {
-        let body = match pod_op(
-            core,
-            pod,
-            ControlOp::Stats {
-                from_index: from,
-                limit: POD_PAGE,
-            },
-        )? {
-            ControlReply::Json { body } => body,
-            other => return Err(format!("pod `{pod}` answered `{}`", other.kind())),
+    let mut first: Option<Json> = None;
+    walk_cursor(|from| {
+        let op = ControlOp::Stats {
+            from_index: from,
+            limit: POD_PAGE,
         };
-        let v = jsonval::parse(&body).map_err(|e| format!("pod `{pod}` stats: {e}"))?;
-        if let Some(page) = v.get("counters").and_then(Jv::as_obj) {
+        let body = match pod_op(core, pod, op)? {
+            ControlReply::Json { body } => body,
+            other => return Err(format!("answered `{}`", other.kind())),
+        };
+        let v = Json::parse(&body)?;
+        if let Some(page) = v.get("counters").and_then(Json::as_obj) {
             for (k, val) in page {
                 if let Some(n) = val.as_u64() {
                     counters.insert(k.clone(), n);
                 }
             }
         }
-        let next = v
-            .get("counters_next_index")
-            .and_then(Jv::as_u64)
-            .unwrap_or(0);
-        if first.is_none() {
-            first = Some(v);
-        }
-        if next == 0 {
-            break;
-        }
-        from = next;
-    }
+        let next = v.get("counters_next_index").and_then(Json::as_u64);
+        first.get_or_insert(v);
+        Ok(next.unwrap_or(0))
+    })
+    .map_err(|e| format!("pod `{pod}` stats: {e}"))?;
     let v = first.expect("at least one stats page");
-    let nums = |field: &str| v.get(field).and_then(Jv::as_u64).unwrap_or(0);
+    let nums = |field: &str| v.get(field).and_then(Json::as_u64).unwrap_or(0);
     let ids = |field: &str| -> Vec<u64> {
         v.get(field)
-            .and_then(Jv::as_arr)
-            .map(|a| a.iter().filter_map(Jv::as_u64).collect())
+            .and_then(Json::as_arr)
+            .map(|a| a.iter().filter_map(Json::as_u64).collect())
             .unwrap_or_default()
     };
     Ok(PodStats {
         now_ns: nums("now_ns"),
         tasks: v
             .get("tasks")
-            .and_then(Jv::as_arr)
+            .and_then(Json::as_arr)
             .map(|a| {
                 a.iter()
                     .filter_map(|t| t.as_str().map(str::to_string))
@@ -723,26 +723,10 @@ fn stats(core: &mut Core, from_index: u64, limit: u64) -> ControlReply {
     cordoned.sort_unstable();
     fenced.sort_unstable();
 
-    let paginated = from_index != 0 || limit != 0;
-    let counters_total = counters.len() as u64;
-    let start = from_index.min(counters_total);
-    let end = if !paginated || limit == 0 {
-        counters_total
-    } else {
-        start.saturating_add(limit).min(counters_total)
-    };
-    let mut page = Obj::new();
-    for (k, v) in counters
-        .iter()
-        .skip(start as usize)
-        .take((end - start) as usize)
-    {
-        page = page.num(k, *v);
-    }
-    let tasks = array(tasks.iter().map(|t| format!("\"{}\"", escape(t))));
+    let tasks = array(tasks.iter().map(|t| quote(t)));
     let cordoned = array(cordoned.iter().map(|s| s.to_string()));
     let fenced = array(fenced.iter().map(|s| s.to_string()));
-    let mut obj = Obj::new()
+    let body = Obj::new()
         .num("now_ns", now_ns)
         .raw("tasks", &tasks)
         .num("seeds", seeds)
@@ -753,16 +737,9 @@ fn stats(core: &mut Core, from_index: u64, limit: u64) -> ControlReply {
         .num("pods_total", core.registry.len() as u64)
         .num("pods_live", live.len() as u64)
         .num("pods_reached", reached)
-        .raw("counters", &page.finish());
-    if paginated {
-        obj = obj
-            .num(
-                "counters_next_index",
-                if end < counters_total { end } else { 0 },
-            )
-            .num("counters_total", counters_total);
-    }
-    ControlReply::Json { body: obj.finish() }
+        .counter_page(&counters, from_index, limit)
+        .finish();
+    ControlReply::Json { body }
 }
 
 /// Federated `MetricsDump`: every live pod's raw dump keyed by name,
@@ -1057,5 +1034,44 @@ fn migrate(core: &mut Core, task: &str, to_pod: &str) -> ControlReply {
                 ),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cursor_walk_follows_pages_until_zero() {
+        let mut seen = Vec::new();
+        let pages = [3, 7, 0];
+        walk_cursor(|from| {
+            seen.push(from);
+            Ok(pages[seen.len() - 1])
+        })
+        .unwrap();
+        assert_eq!(seen, [0, 3, 7]);
+    }
+
+    #[test]
+    fn cursor_walk_rejects_a_cursor_that_does_not_advance() {
+        let mut calls = 0;
+        let err = walk_cursor(|_| {
+            calls += 1;
+            Ok(5)
+        })
+        .unwrap_err();
+        assert_eq!(calls, 2, "the repeated cursor is caught at once");
+        assert!(err.contains("did not advance"), "{err}");
+        let err = walk_cursor(|from| Ok(if from == 0 { 9 } else { 4 })).unwrap_err();
+        assert!(err.contains("9 -> 4"), "{err}");
+    }
+
+    #[test]
+    fn cursor_walk_propagates_page_errors() {
+        assert_eq!(
+            walk_cursor(|_| Err("pod gone".to_string())),
+            Err("pod gone".to_string())
+        );
     }
 }

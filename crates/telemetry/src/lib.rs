@@ -11,7 +11,9 @@
 //! * an **instrument registry** — [`Registry`] — of named [`Counter`]s,
 //!   [`Gauge`]s and fixed-bucket [`Histogram`]s with p50/p99 accessors;
 //! * a [`Telemetry`] handle bundling the two, cloned cheaply (`Arc`
-//!   inside) into every layer of the stack.
+//!   inside) into every layer of the stack;
+//! * the workspace's one JSON codec — [`json`] — shared by the sinks,
+//!   the control-plane bodies, `farmctl --json` and the bench files.
 //!
 //! The crate has **zero dependencies** so it can sit below `farm-netsim`
 //! at the bottom of the workspace; events therefore carry plain scalars
@@ -37,6 +39,7 @@
 //! ```
 
 pub mod event;
+pub mod json;
 pub mod registry;
 pub mod sink;
 

@@ -22,8 +22,8 @@ use std::process::Child;
 use std::time::Duration;
 
 use farm_ctl::CtlClient;
-use farm_fed::jsonval;
 use farm_net::{ControlOp, ControlReply};
+use farm_telemetry::json::Json;
 
 #[path = "util/mod.rs"]
 mod util;
@@ -121,16 +121,16 @@ fn describe(client: &CtlClient, key: &str) -> (u32, String, Vec<(String, String)
 }
 
 /// Stats body as parsed JSON.
-fn stats_doc(client: &CtlClient) -> jsonval::Jv {
+fn stats_doc(client: &CtlClient) -> Json {
     match rpc(client, ControlOp::stats_all()) {
         ControlReply::Json { body } => {
-            jsonval::parse(&body).unwrap_or_else(|e| panic!("stats body {body}: {e}"))
+            Json::parse(&body).unwrap_or_else(|e| panic!("stats body {body}: {e}"))
         }
         other => panic!("stats answered {other:?}"),
     }
 }
 
-fn stat_u64(doc: &jsonval::Jv, field: &str) -> u64 {
+fn stat_u64(doc: &Json, field: &str) -> u64 {
     doc.get(field)
         .and_then(|v| v.as_u64())
         .unwrap_or_else(|| panic!("stats field `{field}` missing or not integral"))
